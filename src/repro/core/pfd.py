@@ -867,11 +867,11 @@ class PFD:
     def coverage(
         self, relation: Relation, evaluator: Optional[PatternEvaluator] = None
     ) -> float:
-        """Fraction of tuples matched by at least one tableau row's LHS
-        (the *coverage* of restriction (ii) in Section 4.2)."""
-        if relation.row_count == 0:
+        """Fraction of live (not tombstoned) tuples matched by at least one
+        tableau row's LHS (the *coverage* of restriction (ii) in Section 4.2)."""
+        if relation.live_row_count == 0:
             return 0.0
-        return self.support(relation, evaluator=evaluator) / relation.row_count
+        return self.support(relation, evaluator=evaluator) / relation.live_row_count
 
     def violation_ratio(
         self, relation: Relation, evaluator: Optional[PatternEvaluator] = None

@@ -369,8 +369,10 @@ class ScenarioSpec:
         Updates rewrite a random live row with fresh dependency-consistent
         values (dirtied at the spec's error rate), appends add fresh rows,
         deletes tombstone live rows.  Deleted rows never come back into the
-        target pool.  ``operations`` counts individual ops; they are grouped
-        into batches of ``batch_size``.
+        target pool, and appended rows join it only once their batch has
+        been yielded (``Relation.apply`` resolves every op of a batch
+        against the pre-batch rows).  ``operations`` counts individual ops;
+        they are grouped into batches of ``batch_size``.
         """
         if operations < 1:
             raise ReproError("mutation_stream needs operations >= 1")
@@ -389,6 +391,7 @@ class ScenarioSpec:
         emitted = 0
         while emitted < operations:
             ops = []
+            appended = []
             for _ in range(min(batch_size, operations - emitted)):
                 roll = rng.random()
                 if (roll < update_w or not append_w + delete_w) and live:
@@ -409,13 +412,14 @@ class ScenarioSpec:
                         index, dirty, _original = corruption
                         row[index] = dirty
                     ops.append(UpsertOp((row,)))
-                    live.append(next_row)
+                    appended.append(next_row)
                     next_row += 1
                 else:
                     victim = live.pop(rng.randrange(len(live)))
                     ops.append(DeleteOp((victim,)))
                 emitted += 1
             yield MutationBatch(ops)
+            live.extend(appended)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ A relation is column-oriented: each attribute maps to a list of string cell
 values.  Every cell is a string (the pattern machinery is purely textual);
 ``None`` / missing values are stored as the empty string.  Row identity is
 positional (row ``i`` of every column belongs to tuple ``i``), matching the
-tuple-id lists used by the discovery algorithm's inverted index.
+row ids of partitions and violation reports.
 
 Relations are cheap to project, filter, and copy, and support the handful of
 relational operations the discovery / cleaning pipelines need.  They are not
@@ -26,7 +26,7 @@ import warnings
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from ..engine.backend import resolve_backend
-from ..engine.dictionary import DictionaryColumn, DictionaryUpdate
+from ..engine.dictionary import DictionaryColumn, DictionaryUpdate, code_tuple_counts
 from ..engine.partitions import PartitionManager
 from ..exceptions import ReproError, SchemaError
 from .mutations import (
@@ -165,6 +165,11 @@ class Relation:
         """
         return tuple(sorted(self._deleted))
 
+    @property
+    def live_row_count(self) -> int:
+        """Rows not tombstoned: the denominator of every coverage ratio."""
+        return self.row_count - len(self._deleted)
+
     def __len__(self) -> int:
         return self.row_count
 
@@ -192,6 +197,11 @@ class Relation:
             )
             self._dictionaries[name] = cached
         return cached
+
+    def code_tuple_counts(self, names: Sequence[str]) -> list[tuple[tuple[int, ...], int]]:
+        """Rows per distinct tuple of dictionary codes over ``names``: one
+        ``(codes, count)`` entry per tuple that occurs."""
+        return code_tuple_counts([self.dictionary(name) for name in names])
 
     def set_backend(self, backend: Optional[str]) -> None:
         """Re-pin the engine backend and drop the derived engine state.

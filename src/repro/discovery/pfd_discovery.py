@@ -5,7 +5,10 @@ Pipeline, mirroring the pseudo-code:
 1. **Profile** the table; drop quantitative columns, decide tokenize vs
    n-grams per attribute (lines 1–3).
 2. **Index**: build the hash-based inverted list from ``(part, position)``
-   to tuple ids for every usable attribute (lines 5–12).
+   to the dictionary codes carrying it, for every usable attribute, each
+   key weighted by the row counts of its codes (lines 5–12).  Every later
+   step works on distinct values, weighted by their counts, never on
+   single rows.
 3. **Candidates**: enumerate candidate dependencies ``X -> B`` level by level
    over the attribute-set lattice (restriction (iv)).  Before any tableau
    work, each LHS set is screened against the relation's cached stripped
@@ -17,7 +20,9 @@ Pipeline, mirroring the pseudo-code:
    pattern among the same tuples and accept the pair when the agreement is
    at least ``support - δ·support`` (the decision function ``f``,
    restriction (iii)); accepted pairs become constant tableau rows
-   (lines 13–21).
+   (lines 13–21).  The walk's units are the candidate's distinct LHS code
+   tuples, weighted by their row counts; the only per-row quantity, the RHS
+   code histogram of each unit, is one grouped count per candidate.
 5. When the accumulated tableau covers at least γ of the table, try to
    **generalize** the constants into a single variable PFD and report either
    the generalized PFD or the constant one (lines 22–28); reported
@@ -30,14 +35,13 @@ import dataclasses
 import math
 import time
 from collections import defaultdict
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from ..core.pfd import PFD
 from ..core.tableau import PatternTableau, PatternTuple
 from ..dataset.index import PatternIndex
 from ..dataset.profiler import TableProfile, profile_relation
 from ..dataset.relation import Relation
-from ..engine.backend import NUMPY as BACKEND_NUMPY, np
 from ..engine.evaluator import PatternEvaluator
 from ..engine.parallel import (
     ParallelExecutor,
@@ -56,7 +60,6 @@ from ..patterns.ast import (
 )
 from ..patterns.alphabet import CharClass
 from ..patterns.induction import induce_pattern
-from ..storage.discovery import CodeAttributeIndex, CodePatternIndex
 from .config import DiscoveryConfig
 from .generalization import generalize_tableau
 from .lattice import CandidateLattice
@@ -189,19 +192,7 @@ class PFDDiscoverer:
         # The index fronts the shared evaluator, so any candidate-pattern
         # batches it evaluates are memoized alongside generalization's
         # validation matches and any downstream detection on this relation.
-        # On a sql relation with single-attribute LHSes the index is kept at
-        # dictionary-code granularity (O(distinct), not O(rows)); the
-        # row-level index is the general fallback.
-        index_class = PatternIndex
-        if getattr(relation, "is_sql_backed", False) and config.max_lhs_size == 1:
-            index_class = CodePatternIndex
-        index = index_class(
-            relation,
-            profile=profile,
-            prune_substrings=config.prune_substrings,
-            prefixes_only=config.prefixes_only,
-            evaluator=self.evaluator,
-        )
+        index = PatternIndex.for_discovery(relation, profile, config, self.evaluator)
         attributes = self._eligible_attributes(profile)
         lattice = CandidateLattice(attributes, max_level=config.max_lhs_size)
 
@@ -213,7 +204,7 @@ class PFDDiscoverer:
         # cover min_coverage of the table; both are bounded by the covered
         # rows of the LHS partition, known before any pattern work.
         coverage_floor = max(
-            config.min_support, math.ceil(config.min_coverage * relation.row_count)
+            config.min_support, math.ceil(config.min_coverage * relation.live_row_count)
         )
         for level in range(1, config.max_lhs_size + 1):
             for lhs, rhs in lattice.level(level):
@@ -272,7 +263,7 @@ class PFDDiscoverer:
         candidate_count = 0
         candidates_per_level: dict[int, int] = {}
         coverage_floor = max(
-            config.min_support, math.ceil(config.min_coverage * relation.row_count)
+            config.min_support, math.ceil(config.min_coverage * relation.live_row_count)
         )
         index_entries: Optional[int] = None
         merged_stats = PartitionStats()
@@ -331,13 +322,7 @@ class PFDDiscoverer:
         if index_entries is None:
             # Degenerate table (no candidates at any level): report the same
             # index statistics the serial path would have.
-            index = PatternIndex(
-                relation,
-                profile=profile,
-                prune_substrings=config.prune_substrings,
-                prefixes_only=config.prefixes_only,
-                evaluator=self.evaluator,
-            )
+            index = PatternIndex.for_discovery(relation, profile, config, self.evaluator)
             index_entries = index.total_entries()
         runtime = time.perf_counter() - start
         return DiscoveryResult(
@@ -373,14 +358,11 @@ class PFDDiscoverer:
     ) -> Optional[DiscoveredDependency]:
         """Lines 13–28 of Figure 4 for one candidate dependency ``X -> B``."""
         config = self.config
-        if isinstance(index, CodePatternIndex):
-            rows, support = self._collect_constant_rows_codes(relation, index, lhs, rhs)
-        else:
-            rows, covered = self._collect_constant_rows(relation, index, lhs, rhs)
-            support = len(covered)
+        rows, support = self._collect_constant_rows(relation, index, lhs, rhs)
         if not rows:
             return None
-        coverage = support / relation.row_count if relation.row_count else 0.0
+        live_rows = relation.live_row_count
+        coverage = support / live_rows if live_rows else 0.0
         if coverage < config.min_coverage:
             return None
         tableau = PatternTableau(rows)
@@ -400,7 +382,7 @@ class PFDDiscoverer:
                     lhs=lhs,
                     rhs=rhs,
                     pfd=outcome.pfd,
-                    coverage=outcome.support / relation.row_count if relation.row_count else 0.0,
+                    coverage=outcome.support / live_rows if live_rows else 0.0,
                     support=outcome.support,
                     is_variable=True,
                 )
@@ -421,11 +403,19 @@ class PFDDiscoverer:
         index: PatternIndex,
         lhs: tuple[str, ...],
         rhs: str,
-    ) -> tuple[list[PatternTuple], set[int]]:
-        """Walk the frequent LHS patterns and build constant tableau rows."""
+    ) -> tuple[list[PatternTuple], int]:
+        """Walk the frequent LHS patterns and build constant tableau rows.
+
+        Every step — claiming, support thresholds, pattern induction,
+        dominance counting, positional grouping — acts on whole units (the
+        distinct LHS code tuples of :class:`_Units`), each weighted by its
+        row count.  Returns the tableau rows plus the number of rows they
+        cover.
+        """
         config = self.config
         driver = self._driver_attribute(index, lhs)
         driver_index = index.attribute_index(driver)
+        units = _Units(relation, lhs, rhs, driver)
         other_lhs = [attribute for attribute in lhs if attribute != driver]
         collected: list[tuple[PatternTuple, list[int], int]] = []
         frequent = driver_index.frequent_keys(config.min_support)
@@ -434,168 +424,50 @@ class PFDDiscoverer:
         for key in frequent:
             if len(collected) >= config.max_tableau_rows:
                 break
-            ids = driver_index.ids(key)
-            fresh_ids = [row_id for row_id in ids if row_id not in claimed]
-            if len(fresh_ids) < config.min_support:
+            fresh = [
+                unit
+                for code in driver_index.codes(key)
+                for unit in units.by_driver_code[code]
+                if unit not in claimed
+            ]
+            if units.weight(fresh) < config.min_support:
                 continue
-            for lhs_assignment, group_ids in self._expand_lhs(
-                relation, index, driver, key, other_lhs, fresh_ids
+            for lhs_assignment, group in self._expand_lhs(
+                index, units, driver, key, other_lhs, fresh
             ):
-                if len(group_ids) < config.min_support:
+                support = units.weight(group)
+                if support < config.min_support:
                     continue
-                rhs_cell = self._dominant_rhs_cell(relation, index, rhs, group_ids)
+                rhs_cell = self._dominant_rhs_cell(
+                    relation, index, rhs, units.rhs_counts(group), support
+                )
                 if rhs_cell is None:
                     continue
                 cells = dict(lhs_assignment)
                 cells[rhs] = rhs_cell
-                collected.append((PatternTuple.from_mapping(cells), list(group_ids), key[1]))
-                claimed.update(group_ids)
+                collected.append((PatternTuple.from_mapping(cells), group, key[1]))
+                claimed.update(group)
                 if len(collected) >= config.max_tableau_rows:
                     break
         if config.positional_grouping and collected:
-            collected = self._select_dominant_position(collected, driver)
-        rows = [row for row, _ids, _pos in collected]
-        covered: set[int] = set()
-        for _row, group_ids, _pos in collected:
-            covered.update(group_ids)
-        return rows, covered
-
-    def _collect_constant_rows_codes(
-        self,
-        relation: Relation,
-        index: CodePatternIndex,
-        lhs: tuple[str, ...],
-        rhs: str,
-    ) -> tuple[list[PatternTuple], int]:
-        """:meth:`_collect_constant_rows` at dictionary-code granularity.
-
-        Single-attribute LHS only (the code index is only selected then).
-        Because every row-level step — claiming, support thresholds, pattern
-        induction, dominance counting, positional grouping — acts uniformly
-        on all rows of a code, the walk can claim whole codes and weigh them
-        by their occurrence counts; the only per-row quantity, the RHS code
-        histogram of a group, is one ``GROUP BY`` in SQLite.  Returns the
-        tableau rows plus the covered *row count* (the groups are disjoint
-        by construction, so it is the sum of the kept groups' weights).
-        """
-        config = self.config
-        driver = self._driver_attribute(index, lhs)
-        driver_index = index.attribute_index(driver)
-        driver_values = relation.dictionary(driver).values
-        counts = relation.dictionary(driver).counts()
-        collected: list[tuple[PatternTuple, int, int]] = []
-        frequent = driver_index.frequent_keys(config.min_support)
-        frequent = frequent[: config.max_patterns_per_attribute]
-        claimed: set[int] = set()
-        for key in frequent:
-            if len(collected) >= config.max_tableau_rows:
-                break
-            codes = driver_index.codes(key)
-            fresh = [code for code in codes if code not in claimed]
-            weight = sum(counts[code] for code in fresh)
-            if weight < config.min_support:
-                continue
-            driver_cell = self._lhs_cell(
-                index, driver, key, (driver_values[code] for code in fresh)
-            )
-            if driver_cell is None:
-                continue
-            rhs_cell = self._dominant_rhs_cell_codes(
-                relation, index, rhs, driver, fresh, weight
-            )
-            if rhs_cell is None:
-                continue
-            cells = {driver: driver_cell, rhs: rhs_cell}
-            collected.append((PatternTuple.from_mapping(cells), weight, key[1]))
-            claimed.update(fresh)
-        if config.positional_grouping and collected:
+            # Single-semantics positional grouping (Section 4.4): when the
+            # driver contributed patterns from several token positions
+            # (first-name tokens at position 1 *and* a few lucky last-name
+            # tokens at position 0), only one semantic explanation can be
+            # right; the rows whose position covers the most records are kept.
             coverage_by_position: dict[int, int] = defaultdict(int)
-            for _row, weight, position in collected:
-                coverage_by_position[position] += weight
+            for _row, group, position in collected:
+                coverage_by_position[position] += units.weight(group)
             best_position = max(
                 coverage_by_position.items(), key=lambda item: (item[1], -item[0])
             )[0]
             collected = [entry for entry in collected if entry[2] == best_position]
-        rows = [row for row, _weight, _pos in collected]
-        return rows, sum(weight for _row, weight, _pos in collected)
-
-    def _dominant_rhs_cell_codes(
-        self,
-        relation: Relation,
-        index: CodePatternIndex,
-        rhs: str,
-        driver: str,
-        driver_codes: Sequence[int],
-        support: int,
-    ) -> Optional[Pattern]:
-        """:meth:`_dominant_rhs_cell` for a group given as driver codes.
-
-        The group's RHS code histogram — the only per-row information the
-        decision function consumes — is computed by SQLite as a grouped
-        co-occurrence count; dominance and the part fallback then run the
-        row-level logic on it unchanged.
-        """
-        config = self.config
-        required = config.required_rhs_agreement(support)
-        store = relation.store
-        code_counts = store.cooccurrence_counts(
-            store.column_index(driver), driver_codes, store.column_index(rhs)
-        )
-        column = relation.dictionary(rhs)
-        counts = {
-            column.values[code]: count
-            for code, count in code_counts.items()
-            if count and column.values[code]
-        }
-        if counts:
-            top_value, top_count = max(counts.items(), key=lambda item: (item[1], item[0]))
-            if top_count >= required:
-                return Pattern(tuple(Literal(char) for char in top_value))
-
-        if rhs not in index.attributes:
-            return None
-        rhs_index = index.attribute_index(rhs)
-        histogram = rhs_index.keys_for_code_counts(code_counts)
-        if not histogram:
-            return None
-        row_count = relation.row_count or 1
-        informative = {
-            key: count
-            for key, count in histogram.items()
-            if rhs_index.weight(key) / row_count < 0.8
-        }
-        if not informative:
-            return None
-        (text, position), count = max(
-            informative.items(), key=lambda item: (item[1], len(item[0][0]), item[0])
-        )
-        if count < required or not text:
-            return None
-        group = ConstrainedGroup(tuple(Literal(char) for char in text))
-        any_star = Repeat(ClassAtom(CharClass.ANY), 0, None)
-        if position > 0:
-            return Pattern((any_star, ClassAtom(CharClass.SYMBOL), group, any_star))
-        return Pattern((group, any_star))
-
-    @staticmethod
-    def _select_dominant_position(
-        collected: list[tuple[PatternTuple, list[int], int]],
-        driver: str,
-    ) -> list[tuple[PatternTuple, list[int], int]]:
-        """Single-semantics positional grouping (Section 4.4).
-
-        When the driver attribute contributed patterns from several token
-        positions (first-name tokens at position 1 *and* a few lucky
-        last-name tokens at position 0), only one semantic explanation can be
-        right; the rows whose position covers the most records are kept.
-        """
-        coverage_by_position: dict[int, int] = defaultdict(int)
-        for _row, group_ids, position in collected:
-            coverage_by_position[position] += len(group_ids)
-        best_position = max(
-            coverage_by_position.items(), key=lambda item: (item[1], -item[0])
-        )[0]
-        return [entry for entry in collected if entry[2] == best_position]
+        rows = [row for row, _group, _pos in collected]
+        # Groups under one driver key can share units, so cover their union.
+        covered: set[int] = set()
+        for _row, group, _pos in collected:
+            covered.update(group)
+        return rows, units.weight(covered)
 
     def _driver_attribute(self, index: PatternIndex, lhs: tuple[str, ...]) -> str:
         """The LHS attribute with the most frequent patterns (Figure 4, line 15)."""
@@ -608,53 +480,47 @@ class PFDDiscoverer:
 
     def _expand_lhs(
         self,
-        relation: Relation,
         index: PatternIndex,
+        units: "_Units",
         driver: str,
         driver_key: tuple[str, int],
         other_lhs: Sequence[str],
-        ids: Sequence[int],
+        group: list[int],
     ) -> Iterable[tuple[dict[str, Pattern], list[int]]]:
         """Combine the driver pattern with frequent patterns of the remaining
-        LHS attributes (the sub-table walk of Example 8)."""
+        LHS attributes (the sub-table walk of Example 8), over units."""
         config = self.config
-        driver_cell = self._lhs_cell(
-            index, driver, driver_key, (relation.cell(row_id, driver) for row_id in ids)
-        )
+        driver_cell = self._lhs_cell(index, driver, driver_key, units.values(driver, group))
         if driver_cell is None:
             return
         if not other_lhs:
-            yield {driver: driver_cell}, list(ids)
+            yield {driver: driver_cell}, group
             return
         attribute = other_lhs[0]
         remaining = other_lhs[1:]
         attr_index = index.attribute_index(attribute)
-        histogram = attr_index.keys_for_rows(ids)
+        histogram = attr_index.keys_for_code_counts(units.code_counts(attribute, group))
         candidates = [
             (key, count)
             for key, count in histogram.items()
             if count >= config.min_support
         ]
         candidates.sort(key=lambda item: (-item[1], -len(item[0][0]), item[0]))
-        id_set = set(ids)
+        codes = units.codes[attribute]
         for key, _count in candidates[:50]:
-            subgroup = [row_id for row_id in attr_index.ids(key) if row_id in id_set]
-            if len(subgroup) < config.min_support:
+            key_codes = set(attr_index.codes(key))
+            subgroup = [unit for unit in group if codes[unit] in key_codes]
+            if units.weight(subgroup) < config.min_support:
                 continue
-            cell = self._lhs_cell(
-                index,
-                attribute,
-                key,
-                (relation.cell(row_id, attribute) for row_id in subgroup),
-            )
+            cell = self._lhs_cell(index, attribute, key, units.values(attribute, subgroup))
             if cell is None:
                 continue
-            for assignment, group_ids in self._expand_lhs(
-                relation, index, driver, driver_key, remaining, subgroup
+            for assignment, group_units in self._expand_lhs(
+                index, units, driver, driver_key, remaining, subgroup
             ):
                 combined = dict(assignment)
                 combined[attribute] = cell
-                yield combined, group_ids
+                yield combined, group_units
 
     # -- pattern construction ------------------------------------------------------
 
@@ -667,10 +533,9 @@ class PFDDiscoverer:
     ) -> Optional[Pattern]:
         """Build the constrained LHS pattern for a frequent part key.
 
-        ``values`` are the covered cell values — per row on the row-level
-        index, per distinct code on the code-level one.  The outcome is the
-        same either way: the suffix induction below is order- and
-        multiplicity-insensitive.
+        ``values`` are the distinct covered cell values; the suffix
+        induction below is order- and multiplicity-insensitive, so the
+        values stand for every row carrying them.
         """
         text, position = key
         strategy = index.strategy(attribute)
@@ -717,31 +582,20 @@ class PFDDiscoverer:
         relation: Relation,
         index: PatternIndex,
         rhs: str,
-        ids: Sequence[int],
+        code_counts: Mapping[int, int],
+        support: int,
     ) -> Optional[Pattern]:
         """The decision function ``f``: find the dominant RHS pattern.
 
-        First the full values are tried (the common case: the RHS of a
-        constant PFD is a whole value such as a city or a gender); when no
-        full value is dominant enough, the most frequent RHS *part* is tried,
-        yielding a prefix/infix pattern on the RHS.
+        ``code_counts`` is the RHS code histogram of the group's ``support``
+        rows.  First the full values are tried (the common case: the RHS of
+        a constant PFD is a whole value such as a city or a gender); when no
+        full value is dominant enough, the most frequent RHS *part* is
+        tried, yielding a prefix/infix pattern on the RHS.
         """
         config = self.config
-        support = len(ids)
         required = config.required_rhs_agreement(support)
-
-        # Dominance counting over dictionary codes: integer bincount instead
-        # of hashing one string per row of the group.
         column = relation.dictionary(rhs)
-        if column.backend == BACKEND_NUMPY:
-            group_codes = column.codes_array()[np.asarray(ids, dtype=np.int64)]
-            code_counts = dict(enumerate(np.bincount(group_codes).tolist()))
-        else:
-            codes = column.codes
-            code_counts = {}
-            for row_id in ids:
-                code = codes[row_id]
-                code_counts[code] = code_counts.get(code, 0) + 1
         counts = {
             column.values[code]: count
             for code, count in code_counts.items()
@@ -755,18 +609,18 @@ class PFDDiscoverer:
         if rhs not in index.attributes:
             return None
         rhs_index = index.attribute_index(rhs)
-        histogram = rhs_index.keys_for_rows(ids)
+        histogram = rhs_index.keys_for_code_counts(code_counts)
         if not histogram:
             return None
-        # Drop "ubiquitous" parts: a part carried by (almost) every row of the
-        # whole column (the "St" of a street column, a shared unit suffix)
-        # says nothing about the dependency and would otherwise make every
-        # LHS pattern appear to determine the RHS.
-        row_count = relation.row_count or 1
+        # Drop "ubiquitous" parts: a part carried by (almost) every live row
+        # of the whole column (the "St" of a street column, a shared unit
+        # suffix) says nothing about the dependency and would otherwise make
+        # every LHS pattern appear to determine the RHS.
+        live_rows = relation.live_row_count or 1
         informative = {
             key: count
             for key, count in histogram.items()
-            if len(rhs_index.ids(key)) / row_count < 0.8
+            if rhs_index.weight(key) / live_rows < 0.8
         }
         if not informative:
             return None
@@ -780,6 +634,65 @@ class PFDDiscoverer:
         if position > 0:
             return Pattern((any_star, ClassAtom(CharClass.SYMBOL), group, any_star))
         return Pattern((group, any_star))
+
+
+class _Units:
+    """The units of the constant-row walk for one candidate ``X -> B``.
+
+    A unit is one distinct tuple of ``X`` codes.  The walk treats every row
+    of a unit alike, so it claims, counts and groups whole units, each
+    weighted by its row count.  One grouped count over ``X`` and ``B``
+    (:meth:`Relation.code_tuple_counts`: ``np.unique`` on numpy, a ``GROUP
+    BY`` on sql) yields the units and the only per-row quantity the walk
+    needs, each unit's ``B`` code histogram.
+    """
+
+    def __init__(self, relation: Relation, lhs: tuple[str, ...], rhs: str, driver: str):
+        self.relation = relation
+        #: Per LHS attribute, the code of each unit.
+        self.codes: dict[str, list[int]] = {attribute: [] for attribute in lhs}
+        self.weights: list[int] = []
+        self.rhs_histograms: list[dict[int, int]] = []
+        unit_of: dict[tuple[int, ...], int] = {}
+        for codes, count in relation.code_tuple_counts(lhs + (rhs,)):
+            unit = unit_of.get(codes[:-1])
+            if unit is None:
+                unit = unit_of[codes[:-1]] = len(self.weights)
+                for attribute, code in zip(lhs, codes):
+                    self.codes[attribute].append(code)
+                self.weights.append(0)
+                self.rhs_histograms.append({})
+            self.weights[unit] += count
+            self.rhs_histograms[unit][codes[-1]] = count
+        self.by_driver_code: dict[int, list[int]] = defaultdict(list)
+        for unit, code in enumerate(self.codes[driver]):
+            self.by_driver_code[code].append(unit)
+
+    def weight(self, units: Iterable[int]) -> int:
+        weights = self.weights
+        return sum(weights[unit] for unit in units)
+
+    def values(self, attribute: str, units: Iterable[int]) -> list[str]:
+        """The distinct ``attribute`` values of the units, in code order."""
+        values = self.relation.dictionary(attribute).values
+        codes = self.codes[attribute]
+        return [values[code] for code in sorted({codes[unit] for unit in units})]
+
+    def code_counts(self, attribute: str, units: Iterable[int]) -> dict[int, int]:
+        """Rows per ``attribute`` code over the units."""
+        counts: dict[int, int] = defaultdict(int)
+        codes, weights = self.codes[attribute], self.weights
+        for unit in units:
+            counts[codes[unit]] += weights[unit]
+        return counts
+
+    def rhs_counts(self, units: Iterable[int]) -> dict[int, int]:
+        """Rows per ``B`` code over the units."""
+        counts: dict[int, int] = defaultdict(int)
+        for unit in units:
+            for code, count in self.rhs_histograms[unit].items():
+                counts[code] += count
+        return counts
 
 
 def discover_pfds(

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+from collections import Counter
 from typing import Iterable, Optional, Sequence, Union
 
 from .backend import NUMPY, np, resolve_backend, stable_order
@@ -411,3 +412,30 @@ class DictionaryColumn:
             f"DictionaryColumn({self.attribute!r}, rows={self.row_count}, "
             f"distinct={self.distinct_count})"
         )
+
+
+#: Bound on the int64 mixed-radix keys of :func:`code_tuple_counts`.
+_KEY_LIMIT = 1 << 62
+
+
+def code_tuple_counts(
+    columns: Sequence[DictionaryColumn],
+) -> list[tuple[tuple[int, ...], int]]:
+    """Rows per distinct tuple of codes across equally long ``columns``.
+
+    One ``(codes, count)`` entry per tuple that occurs, codes in column
+    order.  On the numpy backend each row's tuple is folded into one int64
+    mixed-radix key (re-ranked to ``0..rows-1`` whenever the next step could
+    reach :data:`_KEY_LIMIT`) and counted with one ``np.unique``.
+    """
+    if columns[0].backend != NUMPY:
+        return list(Counter(zip(*(column.codes for column in columns))).items())
+    arrays = [column.codes_array() for column in columns]
+    key = arrays[0].astype(np.int64)
+    for column, codes in zip(columns[1:], arrays[1:]):
+        radix = max(column.distinct_count, 1)
+        if (int(key.max(initial=0)) + 1) * radix >= _KEY_LIMIT:
+            key = np.unique(key, return_inverse=True)[1]
+        key = key * radix + codes
+    _keys, first, counts = np.unique(key, return_index=True, return_counts=True)
+    return list(zip(zip(*(codes[first].tolist() for codes in arrays)), counts.tolist()))

@@ -168,12 +168,14 @@ class RelationSnapshot:
     ``columns`` maps each attribute to its dictionary: the distinct values
     plus the per-row code vector (an ``int32`` ndarray on the numpy backend
     — pickled as its compact buffer — or a plain list on the python
-    backend).  ``backend`` is the parent's *resolved* engine backend.
+    backend).  ``backend`` is the parent's *resolved* engine backend;
+    ``deleted`` its tombstoned row ids (coverage ratios count live rows).
     """
 
     schema: object
     backend: str
     columns: dict[str, tuple[tuple[str, ...], object]]
+    deleted: tuple[int, ...] = ()
 
 
 def snapshot_relation(relation: "Relation") -> RelationSnapshot:
@@ -187,7 +189,12 @@ def snapshot_relation(relation: "Relation") -> RelationSnapshot:
         else:
             codes = list(dictionary.codes)
         columns[name] = (dictionary.values, codes)
-    return RelationSnapshot(schema=relation.schema, backend=backend, columns=columns)
+    return RelationSnapshot(
+        schema=relation.schema,
+        backend=backend,
+        columns=columns,
+        deleted=relation.deleted_rows,
+    )
 
 
 def _restore_relation(snapshot: RelationSnapshot) -> "Relation":
@@ -206,6 +213,7 @@ def _restore_relation(snapshot: RelationSnapshot) -> "Relation":
     # Pre-install the shipped dictionaries: identical values/codes mean every
     # downstream structure (masks, partitions) is bit-identical to the parent.
     relation._dictionaries = dictionaries
+    relation._deleted = set(snapshot.deleted)
     return relation
 
 
@@ -235,13 +243,7 @@ class _WorkerState:
         from ..discovery.pfd_discovery import PFDDiscoverer
 
         discoverer = PFDDiscoverer(config, evaluator=self.evaluator)
-        index = PatternIndex(
-            self.relation,
-            profile=profile,
-            prune_substrings=config.prune_substrings,
-            prefixes_only=config.prefixes_only,
-            evaluator=self.evaluator,
-        )
+        index = PatternIndex.for_discovery(self.relation, profile, config, self.evaluator)
         context = (discoverer, index)
         self._discovery_contexts.append((config, profile, context))
         return context

@@ -12,8 +12,9 @@ Layout:
     :class:`SqlPartitionManager` / :class:`SqlStrippedPartition` — partition
     manager whose group-heavy primitives run as SQL ``GROUP BY`` aggregates.
 ``discovery``
-    :class:`CodePatternIndex` — the inverted pattern index at dictionary-code
-    granularity used by single-LHS discovery on sql relations.
+    :class:`CodePatternIndex` — an alias of the one discovery index,
+    :class:`~repro.dataset.index.PatternIndex`, which works at
+    dictionary-code granularity on every backend.
 """
 
 from .discovery import CodeAttributeIndex, CodePatternIndex

@@ -1,179 +1,20 @@
-"""Code-level inverted pattern index for out-of-core discovery.
+"""Out-of-core names of the discovery index.
 
-The row-level :class:`~repro.dataset.index.PatternIndex` materializes one
-row-id list per ``(part, position)`` key plus a per-row key list — O(rows ×
-parts) boxed ints, which is exactly the memory the ``sql`` backend exists to
-avoid.  Parts are a function of the cell *value* alone, and on a
-single-attribute LHS (the default lattice) every discovery decision —
-frequency ordering, fresh-row claiming, dominance counting, positional
-grouping — happens at whole-code granularity.  So this index stores, per
-key, the list of *dictionary codes* carrying the part and the key's total
-row weight from the per-code counts; memory is O(distinct × parts),
-independent of the row count.
-
-The discoverer pairs it with a code-level constant-row collector
-(:meth:`PFDDiscoverer._collect_constant_rows_codes`), whose only per-row
-work — counting the RHS codes co-occurring with an LHS code group — is
-pushed into SQLite as one ``GROUP BY`` (max-frequency) query.  Substring
-pruning reuses the row-level routine verbatim: two keys share a row set iff
-they share a code set, so the dominated-entry signatures coincide.
+:class:`~repro.dataset.index.PatternIndex` is discovery's one inverted
+pattern index.  It works at dictionary-code granularity on every backend,
+``sql`` included, and at every LHS size, so its memory and build time are
+O(distinct values × parts), independent of the row count.
+``CodePatternIndex`` and ``CodeAttributeIndex`` are the names the ``sql``
+backend's index is imported under; they stay as aliases so those imports,
+and tracers that wrap the index constructor by name, keep working.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from collections import defaultdict
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from ..dataset.index import AttributeIndex, PatternIndex
 
-from ..dataset.index import PartKey, _prune_dominated_entries
-from ..dataset.profiler import TableProfile, profile_relation
-from ..dataset.relation import Relation
-from ..dataset.tokenizer import extract_parts
+#: Aliases of the one discovery index (see the module docstring).
+CodePatternIndex = PatternIndex
+CodeAttributeIndex = AttributeIndex
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine ← dataset)
-    from ..engine.evaluator import ColumnMatchSet, PatternEvaluator
-
-
-@dataclasses.dataclass
-class CodeAttributeIndex:
-    """Inverted lists of one attribute at dictionary-code granularity.
-
-    ``entries`` maps ``(text, position)`` to the codes whose value carries
-    that part (ascending, i.e. first-seen order); ``code_parts`` maps a code
-    to its keys; ``weights`` holds each key's total row count — identical to
-    ``len(ids)`` of the row-level index, so every support threshold and
-    frequency ordering carries over unchanged.
-    """
-
-    attribute: str
-    strategy: str
-    entries: dict[PartKey, list[int]]
-    code_parts: dict[int, list[PartKey]]
-    weights: dict[PartKey, int]
-
-    def codes(self, key: PartKey) -> list[int]:
-        return self.entries.get(key, [])
-
-    def weight(self, key: PartKey) -> int:
-        return self.weights.get(key, 0)
-
-    def frequent_keys(self, minimum_support: int) -> list[PartKey]:
-        """Same ordering contract as the row-level index: descending row
-        weight, then longer text, then (text, position)."""
-        keys = [key for key, weight in self.weights.items() if weight >= minimum_support]
-        keys.sort(key=lambda key: (-self.weights[key], -len(key[0]), key[0], key[1]))
-        return keys
-
-    def keys_for_code_counts(self, code_counts: Mapping[int, int]) -> dict[PartKey, int]:
-        """Histogram of part keys over a group given as code → row count
-        (== the row-level ``keys_for_rows`` over the group's rows)."""
-        histogram: dict[PartKey, int] = defaultdict(int)
-        for code, count in code_counts.items():
-            for key in self.code_parts.get(code, ()):
-                histogram[key] += count
-        return dict(histogram)
-
-    @property
-    def entry_count(self) -> int:
-        return len(self.entries)
-
-
-class CodePatternIndex:
-    """A :class:`PatternIndex` drop-in operating on codes instead of rows."""
-
-    def __init__(
-        self,
-        relation: Relation,
-        profile: Optional[TableProfile] = None,
-        prune_substrings: bool = True,
-        prefixes_only: bool = True,
-        evaluator: Optional["PatternEvaluator"] = None,
-    ):
-        self.relation = relation
-        self.profile = profile or profile_relation(relation)
-        self.prune_substrings = prune_substrings
-        self.prefixes_only = prefixes_only
-        self._evaluator = evaluator
-        self._attributes: dict[str, CodeAttributeIndex] = {}
-        for column in self.profile.usable_columns:
-            self._attributes[column] = self._build_attribute(column)
-
-    def _build_attribute(self, attribute: str) -> CodeAttributeIndex:
-        strategy = self.profile.strategy(attribute)
-        dictionary = self.relation.dictionary(attribute)
-        max_gram = self.profile.column(attribute).max_length
-        counts = dictionary.counts()
-        entries: dict[PartKey, list[int]] = defaultdict(list)
-        code_parts: dict[int, list[PartKey]] = {}
-        for code, value in enumerate(dictionary.values):
-            if not value or not counts[code]:
-                continue
-            parts = extract_parts(
-                value,
-                strategy,
-                max_gram_length=max_gram,
-                prefixes_only=self.prefixes_only,
-            )
-            seen_keys: set[PartKey] = set()
-            keys: list[PartKey] = []
-            for part in parts:
-                key = (part.text, part.position)
-                if key in seen_keys:
-                    continue
-                seen_keys.add(key)
-                keys.append(key)
-            if not keys:
-                continue
-            code_parts[code] = keys
-            for key in keys:
-                entries[key].append(code)
-        if self.prune_substrings:
-            entries, code_parts = _prune_dominated_entries(entries, code_parts)
-        weights = {
-            key: sum(counts[code] for code in codes)
-            for key, codes in entries.items()
-        }
-        return CodeAttributeIndex(
-            attribute=attribute,
-            strategy=strategy,
-            entries=dict(entries),
-            code_parts=dict(code_parts),
-            weights=weights,
-        )
-
-    # -- PatternIndex-compatible surface --------------------------------------
-
-    def attribute_index(self, attribute: str) -> CodeAttributeIndex:
-        return self._attributes[attribute]
-
-    @property
-    def attributes(self) -> list[str]:
-        return list(self._attributes)
-
-    def strategy(self, attribute: str) -> str:
-        return self._attributes[attribute].strategy
-
-    def frequent_keys(self, attribute: str, minimum_support: int) -> list[PartKey]:
-        return self._attributes[attribute].frequent_keys(minimum_support)
-
-    @property
-    def evaluator(self) -> "PatternEvaluator":
-        if self._evaluator is None:
-            from ..engine.evaluator import PatternEvaluator
-
-            self._evaluator = PatternEvaluator()
-        return self._evaluator
-
-    def match_patterns(self, attribute: str, patterns: Sequence) -> "ColumnMatchSet":
-        return self.evaluator.match_column_many(
-            patterns, self.relation.dictionary(attribute)
-        )
-
-    def total_entries(self) -> int:
-        return sum(index.entry_count for index in self._attributes.values())
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"CodePatternIndex(relation={self.relation.name!r}, "
-            f"attributes={len(self._attributes)}, entries={self.total_entries()})"
-        )
+__all__ = ["CodeAttributeIndex", "CodePatternIndex"]

@@ -132,8 +132,8 @@ class SqlRelation(Relation):
     """
 
     #: Feature probe for scale-sensitive callers (``getattr(...,
-    #: "is_sql_backed", False)``): discovery/detection stay serial and use
-    #: code-level indexes on sql relations.
+    #: "is_sql_backed", False)``): discovery/detection stay serial on sql
+    #: relations.
     is_sql_backed = True
 
     def __init__(
@@ -178,6 +178,10 @@ class SqlRelation(Relation):
     def close(self) -> None:
         """Release the backing database (also dropped when GC'd)."""
         self._store.close()
+
+    def code_tuple_counts(self, names: Sequence[str]) -> list[tuple[tuple[int, ...], int]]:
+        store = self._store
+        return store.code_tuple_counts([store.column_index(name) for name in names])
 
     # -- size / access --------------------------------------------------------
 

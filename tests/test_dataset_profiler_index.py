@@ -66,8 +66,10 @@ class TestPatternIndex:
     def test_entries_and_ids(self, mixed_relation):
         index = PatternIndex(mixed_relation)
         zip_index = index.attribute_index("zip")
-        ids = zip_index.ids(("900", 0))
-        assert len(ids) == mixed_relation.row_count
+        codes = zip_index.codes(("900", 0))
+        # Every distinct zip carries the prefix; its weight counts every row.
+        assert codes == list(range(mixed_relation.dictionary("zip").distinct_count))
+        assert zip_index.weight(("900", 0)) == mixed_relation.row_count
         assert index.strategy("zip") == "ngrams"
 
     def test_quantitative_column_not_indexed(self, mixed_relation):
@@ -78,8 +80,9 @@ class TestPatternIndex:
         index = PatternIndex(mixed_relation)
         keys = index.frequent_keys("name", minimum_support=10)
         assert keys, "expected frequent name tokens"
-        supports = [len(index.ids("name", key)) for key in keys]
+        supports = [index.attribute_index("name").weight(key) for key in keys]
         assert supports == sorted(supports, reverse=True)
+        assert all(support >= 10 for support in supports)
 
     def test_substring_pruning_keeps_most_specific(self, mixed_relation):
         pruned = PatternIndex(mixed_relation, prune_substrings=True)
@@ -92,7 +95,12 @@ class TestPatternIndex:
 
     def test_keys_for_rows_histogram(self, mixed_relation):
         index = PatternIndex(mixed_relation)
-        histogram = index.attribute_index("gender").keys_for_rows([0, 1, 2, 3])
+        # Rows 0..3 as a code histogram: their gender codes, counted.
+        codes = mixed_relation.dictionary("gender").codes
+        code_counts: dict[int, int] = {}
+        for row_id in (0, 1, 2, 3):
+            code_counts[int(codes[row_id])] = code_counts.get(int(codes[row_id]), 0) + 1
+        histogram = index.attribute_index("gender").keys_for_code_counts(code_counts)
         assert histogram[("M", 0)] == 2  # rows 0 and 3
         assert histogram[("F", 0)] == 2
 
@@ -100,8 +108,9 @@ class TestPatternIndex:
         relation = Relation.from_rows(["a", "b"], [("", "x"), ("ab", "y")])
         index = PatternIndex(relation)
         if "a" in index.attributes:
-            for ids in index.attribute_index("a").entries.values():
-                assert 0 not in ids
+            empty = relation.dictionary("a").values.index("")
+            for codes in index.attribute_index("a").entries.values():
+                assert empty not in codes
 
 
 class TestIndexPatternMatching:

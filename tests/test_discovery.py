@@ -176,6 +176,36 @@ class TestPFDDiscovery:
         assert result.dependency_for(("zip",), "city") is None
 
 
+class TestTombstonedRows:
+    """Coverage ratios count live rows only: a tombstoned row holds empty
+    cells that no pattern covers, so counting it would dilute every ratio."""
+
+    @staticmethod
+    def _zip_city(tombstones: int) -> Relation:
+        rows = [(f"900{i:02d}", "Los Angeles") for i in range(20)]
+        rows += [(f"100{i:02d}", "New York") for i in range(tombstones)]
+        relation = Relation.from_rows(["zip", "city"], rows, name="Zip")
+        relation.delete_rows(range(20, 20 + tombstones))
+        return relation
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("tombstones", [0, 20])
+    def test_tombstones_do_not_dilute_discovery_coverage(self, tombstones, workers):
+        relation = self._zip_city(tombstones)
+        config = DiscoveryConfig(min_coverage=0.6)
+        result = PFDDiscoverer(config, workers=workers).discover(relation)
+        assert [dependency.key for dependency in result.dependencies] == [
+            (("zip",), ("city",))
+        ]
+        assert result.dependencies[0].coverage == 1.0
+
+    def test_pfd_coverage_counts_live_rows(self):
+        live = self._zip_city(0)
+        pfd = discover_pfds(live, DiscoveryConfig(min_coverage=0.6)).pfds[0]
+        assert pfd.coverage(live) == 1.0
+        assert pfd.coverage(self._zip_city(20)) == 1.0
+
+
 class TestGeneralization:
     def test_generalize_constant_tableau(self, zip_city_table):
         config = DiscoveryConfig(min_support=5, generalize=False)

@@ -213,20 +213,30 @@ def test_index_build_extracts_once_per_distinct_value(monkeypatch):
 
 
 def test_index_contents_identical_to_per_row_build():
-    """The dictionary-encoded build must produce exactly the seed's entries."""
+    """The code-level build must describe exactly the per-row entries: each
+    key's codes carry its text, and its weight is the number of rows whose
+    cell carries the key."""
     relation = _duplicated_relation(copies=3)
     index = PatternIndex(relation)
     for attribute in index.attributes:
         attr_index = index.attribute_index(attribute)
         dictionary = relation.dictionary(attribute)
-        for key, ids in attr_index.entries.items():
-            assert ids == sorted(ids)
-            for row_id in ids:
-                text, _position = key
-                assert text in dictionary.value_of_row(row_id)
-        for row_id, keys in attr_index.row_parts.items():
+        for key, codes in attr_index.entries.items():
+            assert codes == sorted(codes)
+            text, _position = key
+            for code in codes:
+                assert text in dictionary.values[code]
+            rows = [
+                row_id
+                for row_id in range(relation.row_count)
+                if key in attr_index.code_parts.get(int(dictionary.codes[row_id]), ())
+            ]
+            assert attr_index.weight(key) == len(rows) == sum(
+                dictionary.counts()[code] for code in codes
+            )
+        for code, keys in attr_index.code_parts.items():
             for key in keys:
-                assert row_id in attr_index.entries[key]
+                assert code in attr_index.entries[key]
 
 
 # --------------------------------------------------------------------------

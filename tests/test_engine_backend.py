@@ -11,6 +11,9 @@ vectorized path (or, just as importantly, in the patch-based python path).
 
 from __future__ import annotations
 
+from collections import Counter
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -28,6 +31,7 @@ from repro.engine.backend import (
     resolve_backend,
     set_default_backend,
 )
+from repro.engine import dictionary as dictionary_module
 from repro.engine.dictionary import DictionaryColumn
 from repro.engine.evaluator import PatternEvaluator
 from repro.session import CleaningSession
@@ -157,6 +161,27 @@ def test_dictionary_and_partition_parity(rows):
         assert numpy_partition.minority_rows(rhs_codes[0]) == python_partition.minority_rows(
             rhs_codes[1]
         )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=_tables,
+    names=st.sampled_from([("x",), ("x", "z"), ("z", "x", "y")]),
+    rerank=st.booleans(),
+)
+def test_code_tuple_counts_parity(rows, names, rerank):
+    # rerank forces the numpy path to re-rank its mixed-radix key at every
+    # column, the step that keeps wide, high-cardinality keys in int64.
+    numpy_relation, python_relation = _pair(rows)
+    sql_relation = Relation.from_rows(_SCHEMA, rows, backend=SQL)
+    expected = sorted(
+        Counter(zip(*(list(python_relation.dictionary(n).codes) for n in names))).items()
+    )
+    limit = 1 if rerank else dictionary_module._KEY_LIMIT
+    with mock.patch.object(dictionary_module, "_KEY_LIMIT", limit):
+        assert sorted(numpy_relation.code_tuple_counts(names)) == expected
+    assert sorted(python_relation.code_tuple_counts(names)) == expected
+    assert sorted(sql_relation.code_tuple_counts(names)) == expected
 
 
 @settings(max_examples=60, deadline=None)

@@ -207,6 +207,17 @@ class TestScenarioMatrix:
         assert spec.mix.weights()[0] == pytest.approx(0.7)
         assert table.true_dependencies
 
+    @pytest.mark.parametrize("name", sorted(SCENARIO_MATRIX))
+    def test_every_batch_of_a_multi_op_stream_applies(self, name):
+        # Ops of one batch target pre-batch rows only: a row appended earlier
+        # in the same batch must not be updated or deleted by it.
+        spec = SCENARIO_MATRIX[name]
+        relation = spec.build(scale=1).relation
+        batches = list(spec.mutation_stream(relation, operations=1000, batch_size=10, seed=7))
+        for batch in batches:
+            relation.apply(batch)
+        assert len(batches) == 100
+
 
 class TestLoadScenario:
     def test_load_json_spec(self, tmp_path):
